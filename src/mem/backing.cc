@@ -1,7 +1,6 @@
 #include "mem/backing.hh"
 
 #include <algorithm>
-#include <cstring>
 
 #include "common/bytes.hh"
 
@@ -19,55 +18,31 @@ Backing::defaultByte(Addr addr)
     return static_cast<std::uint8_t>(z ^ (z >> 31));
 }
 
-Backing::Page &
-Backing::pageFor(Addr addr)
+std::uint8_t *
+Backing::pageSlow(Addr page_id) const
 {
-    Addr page_id = addr / pageBytes;
-    if (page_id == cachedId)
-        return *cachedPage;
-    auto it = pages.find(page_id);
-    if (it == pages.end()) {
-        Page p;
-        p.data.resize(pageBytes);
-        Addr base = page_id * pageBytes;
-        for (Addr i = 0; i < pageBytes; ++i)
-            p.data[i] = defaultByte(base + i);
-        it = pages.emplace(page_id, std::move(p)).first;
+    std::unique_ptr<std::uint8_t[]> &p = pages[page_id];
+    if (!p) {
+        p.reset(new std::uint8_t[kPageBytes]);
+        const Addr base = page_id << kPageShift;
+        for (Addr i = 0; i < kPageBytes; ++i)
+            p[i] = defaultByte(base + i);
     }
-    cachedId = page_id;
-    cachedPage = &it->second;
-    return it->second;
-}
-
-const Backing::Page *
-Backing::findPage(Addr addr) const
-{
-    Addr page_id = addr / pageBytes;
-    if (page_id == cachedId)
-        return cachedPage;
-    auto it = pages.find(page_id);
-    if (it == pages.end())
-        return nullptr;
-    cachedId = page_id;
-    cachedPage = const_cast<Page *>(&it->second);
-    return &it->second;
+    Slot &s = cache[slotOf(page_id)];
+    s.id = page_id;
+    s.data = p.get();
+    return s.data;
 }
 
 void
 Backing::read(Addr addr, std::uint8_t *out, int size) const
 {
-    // Page-span (not per-byte) resolution: one lookup per page touched,
-    // and accesses of at most 8 bytes touch at most two.
+    // One page lookup per page touched; an access of at most 8 bytes
+    // touches at most two.
     while (size > 0) {
-        Addr off = addr % pageBytes;
-        int n = static_cast<int>(
-            std::min<Addr>(size, pageBytes - off));
-        if (const Page *p = findPage(addr)) {
-            copySmall(out, p->data.data() + off, n);
-        } else {
-            for (int i = 0; i < n; ++i)
-                out[i] = defaultByte(addr + i);
-        }
+        Addr off = addr & (kPageBytes - 1);
+        int n = static_cast<int>(std::min<Addr>(size, kPageBytes - off));
+        copySmall(out, page(addr >> kPageShift) + off, n);
         addr += n;
         out += n;
         size -= n;
@@ -78,10 +53,9 @@ void
 Backing::write(Addr addr, const std::uint8_t *in, int size)
 {
     while (size > 0) {
-        Addr off = addr % pageBytes;
-        int n = static_cast<int>(
-            std::min<Addr>(size, pageBytes - off));
-        copySmall(pageFor(addr).data.data() + off, in, n);
+        Addr off = addr & (kPageBytes - 1);
+        int n = static_cast<int>(std::min<Addr>(size, kPageBytes - off));
+        copySmall(page(addr >> kPageShift) + off, in, n);
         addr += n;
         in += n;
         size -= n;

@@ -10,14 +10,23 @@
  *
  * Unwritten bytes read as a deterministic per-address pattern so that
  * cold loads are reproducible and checkable by the oracle.
+ *
+ * Every simulated access and every oracle check reads this store, so
+ * the per-access path does no hashing. A page is materialised with its
+ * default pattern on its first touch, read or write; after that a
+ * direct-mapped table of page pointers resolves it with one compare.
+ * The table has enough slots that the several streams one loop
+ * invocation interleaves do not evict each other; a slot miss falls
+ * back to the page map once and refills the slot.
  */
 
 #ifndef L0VLIW_MEM_BACKING_HH
 #define L0VLIW_MEM_BACKING_HH
 
+#include <array>
 #include <cstdint>
+#include <memory>
 #include <unordered_map>
-#include <vector>
 
 #include "common/types.hh"
 
@@ -42,33 +51,48 @@ class Backing
     clear()
     {
         pages.clear();
-        cachedId = kNoPage;
-        cachedPage = nullptr;
+        cache.fill(Slot{});
     }
 
   private:
-    static constexpr Addr pageBytes = 4096;
-    static constexpr Addr kNoPage = ~0ULL;
+    static constexpr int kPageShift = 12;
+    static constexpr Addr kPageBytes = Addr{1} << kPageShift;
+    static constexpr int kCacheBits = 8;
+    static constexpr Addr kNoPage = ~Addr{0};
 
-    struct Page
+    /** One direct-mapped page-pointer slot. */
+    struct Slot
     {
-        std::vector<std::uint8_t> data;
+        Addr id = kNoPage;
+        std::uint8_t *data = nullptr;
     };
 
-    /** Get the page holding @p addr, materialising it on demand. */
-    Page &pageFor(Addr addr);
+    static std::size_t
+    slotOf(Addr page_id)
+    {
+        // Fold the next bits in so arrays a power-of-two number of
+        // pages apart do not share a slot.
+        return static_cast<std::size_t>(
+                   page_id ^ (page_id >> kCacheBits))
+               & ((std::size_t{1} << kCacheBits) - 1);
+    }
 
-    /** Materialised page containing @p addr, or null. */
-    const Page *findPage(Addr addr) const;
+    /** The bytes of page @p page_id, materialised on first touch. */
+    std::uint8_t *
+    page(Addr page_id) const
+    {
+        const Slot &s = cache[slotOf(page_id)];
+        return s.id == page_id ? s.data : pageSlow(page_id);
+    }
 
-    std::unordered_map<Addr, Page> pages;
-    /**
-     * One-entry page cache: accesses stream sequentially, so almost
-     * every access lands on the last page touched. Pointers into the
-     * node-based map stay valid until clear().
-     */
-    mutable Addr cachedId = kNoPage;
-    mutable Page *cachedPage = nullptr;
+    /** page() past a slot miss: the page map, then refill the slot. */
+    std::uint8_t *pageSlow(Addr page_id) const;
+
+    // A read materialises pages too, so the page state is mutable;
+    // the observable contents never change on a read.
+    mutable std::unordered_map<Addr, std::unique_ptr<std::uint8_t[]>>
+        pages;
+    mutable std::array<Slot, std::size_t{1} << kCacheBits> cache{};
 };
 
 } // namespace l0vliw::mem

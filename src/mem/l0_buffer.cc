@@ -18,6 +18,7 @@ L0Buffer::L0Buffer(int num_entries, int subblock_bytes, int num_clusters)
     if (numEntries > 0) {
         entries.resize(numEntries);
         quick.assign(numEntries, kNoBlock);
+        used = entries.size();
     }
 }
 
@@ -76,7 +77,7 @@ L0Buffer::lookup(Addr addr, int size, std::uint8_t *out)
     L0Lookup res;
     L0Entry *best = nullptr;
     int best_idx = -1;
-    for (std::size_t i = 0; i < quick.size(); ++i) {
+    for (std::size_t i = 0; i < used; ++i) {
         // Cheap block-range reject against the dense address array
         // before touching the entry itself (kNoBlock never passes).
         if (addr - quick[i] >= blockBytes)
@@ -118,10 +119,13 @@ std::size_t
 L0Buffer::victimIndex()
 {
     if (unbounded()) {
-        entries.emplace_back();
-        entries.back().data.resize(subblockBytes);
-        quick.push_back(kNoBlock);
-        return entries.size() - 1;
+        // Slots freed by invalidateAll() are reused, payload included.
+        if (used == entries.size()) {
+            entries.emplace_back();
+            entries.back().data.resize(subblockBytes);
+            quick.push_back(kNoBlock);
+        }
+        return used++;
     }
     std::size_t v = 0;
     for (std::size_t i = 0; i < entries.size(); ++i) {
@@ -140,7 +144,7 @@ L0Buffer::fillLinear(Addr block_addr, int sub_index,
 {
     // Refill of a present subblock: refresh the data (it may be a
     // demand refill racing a prefetch); no new entry.
-    for (std::size_t i = 0; i < quick.size(); ++i) {
+    for (std::size_t i = 0; i < used; ++i) {
         if (quick[i] != block_addr)
             continue;
         L0Entry &e = entries[i];
@@ -173,7 +177,7 @@ L0Buffer::fillInterleaved(Addr block_addr, int factor, int residue,
               factor, subblockBytes);
 
     // Refill of a present subblock: refresh the data in place.
-    for (std::size_t i = 0; i < quick.size(); ++i) {
+    for (std::size_t i = 0; i < used; ++i) {
         if (quick[i] != block_addr)
             continue;
         L0Entry &e = entries[i];
@@ -216,7 +220,7 @@ L0Buffer::store(Addr addr, int size, const std::uint8_t *in)
     // Update the most recently used matching copy; invalidate the rest
     // (one write port, Section 4.1 intra-cluster coherence).
     L0Entry *update = nullptr;
-    for (std::size_t i = 0; i < quick.size(); ++i) {
+    for (std::size_t i = 0; i < used; ++i) {
         if (addr - quick[i] >= blockBytes)
             continue;
         L0Entry &e = entries[i];
@@ -227,7 +231,7 @@ L0Buffer::store(Addr addr, int size, const std::uint8_t *in)
     }
     if (!update)
         return false;
-    for (std::size_t i = 0; i < quick.size(); ++i) {
+    for (std::size_t i = 0; i < used; ++i) {
         if (addr - quick[i] >= blockBytes)
             continue;
         L0Entry &e = entries[i];
@@ -246,7 +250,7 @@ L0Buffer::store(Addr addr, int size, const std::uint8_t *in)
 void
 L0Buffer::invalidateMatching(Addr addr, int size)
 {
-    for (std::size_t i = 0; i < quick.size(); ++i) {
+    for (std::size_t i = 0; i < used; ++i) {
         if (addr - quick[i] >= blockBytes)
             continue;
         if (contains(entries[i], addr, size)) {
@@ -260,19 +264,21 @@ L0Buffer::invalidateMatching(Addr addr, int size)
 void
 L0Buffer::invalidateAll()
 {
-    for (auto &e : entries)
-        e.valid = false;
+    for (std::size_t i = 0; i < used; ++i) {
+        entries[i].valid = false;
+        quick[i] = kNoBlock;
+    }
     if (unbounded())
-        entries.clear();
-    quick.assign(entries.size(), kNoBlock);
+        used = 0;
     ++hot.flushes;
 }
 
 bool
 L0Buffer::hasLinear(Addr block_addr, int sub_index) const
 {
-    for (const auto &e : entries)
-        if (e.valid && e.kind == ir::MapHint::LinearMap
+    for (std::size_t i = 0; i < used; ++i)
+        if (const L0Entry &e = entries[i];
+            e.valid && e.kind == ir::MapHint::LinearMap
                 && e.blockAddr == block_addr && e.index == sub_index)
             return true;
     return false;
@@ -281,8 +287,9 @@ L0Buffer::hasLinear(Addr block_addr, int sub_index) const
 bool
 L0Buffer::hasInterleaved(Addr block_addr, int factor, int residue) const
 {
-    for (const auto &e : entries)
-        if (e.valid && e.kind == ir::MapHint::InterleavedMap
+    for (std::size_t i = 0; i < used; ++i)
+        if (const L0Entry &e = entries[i];
+            e.valid && e.kind == ir::MapHint::InterleavedMap
                 && e.blockAddr == block_addr && e.factor == factor
                 && e.index == residue)
             return true;
@@ -307,8 +314,8 @@ int
 L0Buffer::validEntries() const
 {
     int n = 0;
-    for (const auto &e : entries)
-        n += e.valid ? 1 : 0;
+    for (std::size_t i = 0; i < used; ++i)
+        n += entries[i].valid ? 1 : 0;
     return n;
 }
 

@@ -177,6 +177,13 @@ class L0Buffer
     int numClusters;
     Addr blockBytes; ///< subblockBytes * numClusters, hoisted
     std::uint64_t useClock = 0;
+    /**
+     * Entries in use: the first `used` slots of entries/quick. Bounded
+     * buffers use every slot. An unbounded buffer grows on demand and
+     * invalidateAll() only resets the count, so a loop's fills reuse
+     * the entries (and payload vectors) of the loops before it.
+     */
+    std::size_t used = 0;
     std::vector<L0Entry> entries;
     /**
      * Dense copy of each entry's block address (kNoBlock when

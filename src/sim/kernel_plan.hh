@@ -17,6 +17,7 @@
  *    precomputed, so the steady state advances an address with one add
  *    and one compare instead of a div/mod per access);
  *  - the load-use dependence lists in CSR form;
+ *  - the coherence oracle's split of the loads (below);
  *  - reusable scratch: the ready ring, the golden-replay buffers (a
  *    block-granular overlay instead of a per-byte hash map), and the
  *    memory system's AccessScratch.
@@ -26,6 +27,19 @@
  * ramp-up and drain phases. Results are bit-for-bit identical to the
  * reference executor (tests/test_plan.cc proves it); one plan is meant
  * to be reused across every invocation of its loop.
+ *
+ * The oracle checks every load against its program-order value, split
+ * by address range at compile time. An address generator never leaves
+ * its array's [lo, hi), and only stores write the backing store, so a
+ * load whose [lo, hi) overlaps no store's [lo, hi) reads bytes nothing
+ * in the loop writes: its program-order value is the live backing
+ * store at access time, and it is compared against that ("checked
+ * live"). Ranges are compared by address, not array id, because two
+ * ArrayInfos may alias. Only the remaining loads need the golden
+ * replay of the primary stores, and the replay is skipped when there
+ * are none. The check is the same one the reference executor's
+ * whole-loop replay makes, at O(stores + aliasing loads) per
+ * invocation instead of O(every access).
  */
 
 #ifndef L0VLIW_SIM_KERNEL_PLAN_HH
@@ -188,6 +202,15 @@ class KernelPlan
     InvocationResult run(mem::MemSystem &mem, std::uint64_t trips,
                          Cycle start_cycle, const SimOptions &opts);
 
+    /** Loads the oracle checks against the live backing store. */
+    int liveCheckedLoads() const { return numLoads_ - numReplayed_; }
+
+    /** Loads the oracle checks against the golden replay. */
+    int replayedLoads() const { return numReplayed_; }
+
+    /** True when load @p op is checked live (false for non-loads). */
+    bool liveChecked(OpId op) const;
+
   private:
     /** A register flow edge whose producer is a load. */
     struct Use
@@ -211,7 +234,7 @@ class KernelPlan
         OpId op = kNoOp;
         int stage = 0;          ///< startCycle / ii
         int gen = -1;           ///< address generator index
-        int loadIdx = -1;       ///< dense load index (oracle table)
+        int replayIdx = -1;     ///< replayed load index; -1 = live
         bool isLoad = false, isStore = false;
     };
 
@@ -223,13 +246,13 @@ class KernelPlan
         int memBegin = 0, memEnd = 0; ///< range into memSlots_
     };
 
-    /** Replay ops in program order (loads and primary stores). */
+    /** Replay ops in program order (replayed loads, primary stores). */
     struct GoldenOp
     {
         OpId op = kNoOp;
         bool isLoad = false;
         int gen = -1;
-        int loadIdx = -1;
+        int replayIdx = -1;
         int size = 0;
     };
 
@@ -259,6 +282,7 @@ class KernelPlan
     int maxStart_ = 0;  ///< latest start cycle over all ops
     int minStage_ = 0, maxStage_ = 0; ///< over ops in non-empty rows
     int numLoads_ = 0;
+    int numReplayed_ = 0; ///< loads whose range some store overlaps
     std::vector<DepSlot> depSlots_; ///< row-major, program order inside
     std::vector<MemSlot> memSlots_; ///< row-major, program order inside
     std::vector<Use> uses_;         ///< CSR payload of DepSlot ranges
@@ -269,7 +293,7 @@ class KernelPlan
     // ---- reusable scratch ----
     detail::ReadyRing ring_;
     detail::ChunkedOverlay overlay_;
-    std::vector<std::uint64_t> expected_; ///< loadIdx * trips + iter
+    std::vector<std::uint64_t> expected_; ///< replayIdx * trips + iter
     std::vector<detail::AddrCursor> goldenCursors_;
     std::vector<detail::AddrCursor> execCursors_;
     mem::AccessScratch memScratch_;

@@ -16,7 +16,10 @@
  * expected value of every load; any mismatch with the bytes the load
  * actually observed (e.g. from a stale L0 entry) is a coherence
  * violation. With the paper's scheduling rules in force the count must
- * be zero — the property tests assert exactly that.
+ * be zero — the property tests assert exactly that. The reference
+ * executor replays the whole loop; a KernelPlan replays only the loads
+ * a store can reach and checks the rest against the live backing
+ * store, with the same result (see kernel_plan.hh).
  */
 
 #ifndef L0VLIW_SIM_KERNEL_SIM_HH

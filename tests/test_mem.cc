@@ -57,6 +57,126 @@ TEST(Backing, UnwrittenNeighboursKeepPattern)
     EXPECT_EQ(r, Backing::defaultByte(0x3001));
 }
 
+TEST(Backing, UnwrittenBytesReadDefaultBeforeAndAfterMaterialization)
+{
+    Backing m;
+    // First touch is a read: it materialises the page.
+    std::uint8_t r;
+    m.read(0x5123, &r, 1);
+    EXPECT_EQ(r, Backing::defaultByte(0x5123));
+    for (Addr a = 0x5000; a < 0x6000; ++a) {
+        m.read(a, &r, 1);
+        ASSERT_EQ(r, Backing::defaultByte(a)) << std::hex << a;
+    }
+    // A write elsewhere on the page leaves every other byte default.
+    std::uint8_t w[4] = {1, 2, 3, 4};
+    m.write(0x5800, w, 4);
+    for (Addr a = 0x5000; a < 0x6000; ++a) {
+        if (a >= 0x5800 && a < 0x5804)
+            continue;
+        m.read(a, &r, 1);
+        ASSERT_EQ(r, Backing::defaultByte(a)) << std::hex << a;
+    }
+    // A page first touched by a write: untouched bytes stay default.
+    m.write(0x9004, w, 2);
+    m.read(0x9003, &r, 1);
+    EXPECT_EQ(r, Backing::defaultByte(0x9003));
+    m.read(0x9006, &r, 1);
+    EXPECT_EQ(r, Backing::defaultByte(0x9006));
+}
+
+TEST(Backing, AccessesCrossingAPageBoundary)
+{
+    for (int size : {2, 4, 8}) {
+        for (int before = 1; before < size; ++before) {
+            Backing m;
+            const Addr page = 0x40000;
+            const Addr addr = page - before;
+            SCOPED_TRACE("size " + std::to_string(size) + " addr "
+                         + std::to_string(addr));
+
+            // Unwritten on both sides, then written across the edge.
+            std::uint8_t r[8];
+            m.read(addr, r, size);
+            for (int i = 0; i < size; ++i)
+                EXPECT_EQ(r[i], Backing::defaultByte(addr + i));
+            std::uint8_t w[8] = {11, 22, 33, 44, 55, 66, 77, 88};
+            m.write(addr, w, size);
+            m.read(addr, r, size);
+            EXPECT_EQ(0, std::memcmp(w, r, size));
+
+            // Byte-wise reads see the same split, and the neighbours
+            // just outside the write stay default.
+            for (int i = 0; i < size; ++i) {
+                std::uint8_t b;
+                m.read(addr + i, &b, 1);
+                EXPECT_EQ(b, w[i]);
+            }
+            std::uint8_t b;
+            m.read(addr - 1, &b, 1);
+            EXPECT_EQ(b, Backing::defaultByte(addr - 1));
+            m.read(addr + size, &b, 1);
+            EXPECT_EQ(b, Backing::defaultByte(addr + size));
+        }
+    }
+}
+
+TEST(Backing, MorePagesInterleavedThanThePageCacheHolds)
+{
+    // Far more distinct pages than direct-mapped slots, at page-id
+    // strides of 1 (consecutive), 256 and 65536 (the strides most
+    // likely to share a slot), each written round-robin and then read
+    // back interleaved in another order.
+    constexpr int kPages = 1500;
+    for (Addr stride : {Addr{1}, Addr{256}, Addr{65536}}) {
+        SCOPED_TRACE("page stride " + std::to_string(stride));
+        Backing m;
+        auto addr_of = [&](int i) {
+            return 0x100000 + static_cast<Addr>(i) * stride * 4096
+                   + static_cast<Addr>(i * 52 % 4088);
+        };
+        auto value_of = [](int i, int round) {
+            return static_cast<std::uint32_t>(i * 2654435761u + round);
+        };
+        for (int round = 0; round < 3; ++round) {
+            for (int i = 0; i < kPages; ++i) {
+                std::uint32_t v = value_of(i, round);
+                m.write(addr_of(i), reinterpret_cast<std::uint8_t *>(&v),
+                        4);
+            }
+        }
+        for (int k = 0; k < kPages; ++k) {
+            const int i = (k * 7 + 3) % kPages; // 7 is coprime to 1500
+            std::uint32_t v = 0;
+            m.read(addr_of(i), reinterpret_cast<std::uint8_t *>(&v), 4);
+            ASSERT_EQ(v, value_of(i, 2)) << "page " << i;
+            std::uint8_t b;
+            m.read(addr_of(i) + 4, &b, 1);
+            ASSERT_EQ(b, Backing::defaultByte(addr_of(i) + 4));
+        }
+    }
+}
+
+TEST(Backing, ClearRestoresTheDefaultPattern)
+{
+    Backing m;
+    std::uint8_t w[8] = {1, 2, 3, 4, 5, 6, 7, 8};
+    m.write(0x7000, w, 8);
+    m.write(4096 * 3 - 3, w, 8);
+    m.clear();
+    std::uint8_t r[8];
+    m.read(0x7000, r, 8);
+    for (int i = 0; i < 8; ++i)
+        EXPECT_EQ(r[i], Backing::defaultByte(0x7000 + i));
+    m.read(4096 * 3 - 3, r, 8);
+    for (int i = 0; i < 8; ++i)
+        EXPECT_EQ(r[i], Backing::defaultByte(4096 * 3 - 3 + i));
+    // The store is fully usable after a clear.
+    m.write(0x7000, w, 8);
+    m.read(0x7000, r, 8);
+    EXPECT_EQ(0, std::memcmp(w, r, 8));
+}
+
 // ------------------------------------------------------------------- bus
 
 TEST(Bus, GrantsRequestedWhenFree)
@@ -241,6 +361,43 @@ TEST(L0Buffer, UnboundedNeverEvicts)
         b.fillLinear(a, 0, blk.data());
     EXPECT_EQ(b.validEntries(), 100);
     EXPECT_TRUE(b.unbounded());
+}
+
+TEST(L0Buffer, UnboundedReusesEntriesAcrossFlushes)
+{
+    // After invalidateAll() an unbounded buffer refills its old slots:
+    // nothing from before the flush is visible, entry indices restart
+    // at 0 in fill order, and payloads are the new fills' bytes.
+    L0Buffer b(-1, 8, 4);
+    auto blk = pattern32();
+    for (Addr a = 0; a < 50 * 32; a += 32)
+        b.fillLinear(a, 0, blk.data());
+    b.invalidateAll();
+    EXPECT_EQ(b.validEntries(), 0);
+
+    auto blk2 = pattern32();
+    for (auto &x : blk2)
+        x = static_cast<std::uint8_t>(x + 100);
+    for (Addr a = 0x10000; a < 0x10000 + 10 * 32; a += 32)
+        b.fillLinear(a, 1, blk2.data() + 8);
+    EXPECT_EQ(b.validEntries(), 10);
+    EXPECT_FALSE(b.hasLinear(0, 0));
+    EXPECT_FALSE(b.lookup(32 * 20, 4, nullptr).hit);
+
+    std::uint8_t out[2];
+    L0Lookup hit = b.lookup(0x10000 + 3 * 32 + 8, 2, out);
+    ASSERT_TRUE(hit.hit);
+    EXPECT_EQ(hit.entry, 3);
+    EXPECT_EQ(out[0], 108);
+    EXPECT_EQ(out[1], 109);
+
+    // Growing past the old high-water mark still works.
+    for (Addr a = 0x20000; a < 0x20000 + 60 * 32; a += 32)
+        b.fillLinear(a, 0, blk.data());
+    EXPECT_EQ(b.validEntries(), 70);
+    EXPECT_EQ(b.stats().get("l0_fills_linear"), 120u);
+    EXPECT_EQ(b.stats().get("l0_flushes"), 1u);
+    EXPECT_EQ(b.stats().get("l0_evictions"), 0u);
 }
 
 TEST(L0Buffer, StoreUpdatesMruCopyInvalidatesDuplicates)

@@ -6,19 +6,30 @@
  * every memory-system statistic — across every ArchSpec factory, with
  * plans reused across invocations, and over randomized loops and trip
  * counts (including degenerate trips where ramp-up and drain overlap).
+ *
+ * The plan's coherence oracle checks loads no store can reach against
+ * the live backing store instead of the golden replay; the reference
+ * keeps the whole-loop replay. The oracle suite below holds the two to
+ * the same violation counts on every registered architecture and
+ * benchmark, and proves the live check still sees corrupted data.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/rng.hh"
+#include "driver/registry.hh"
 #include "driver/runner.hh"
 #include "ir/loop.hh"
 #include "mem/l0_system.hh"
 #include "mem/mem_system.hh"
+#include "metrics/registry.hh"
 #include "sched/scheduler.hh"
 #include "sim/kernel_plan.hh"
 #include "sim/kernel_sim.hh"
 #include "workloads/kernels.hh"
+#include "workloads/registry.hh"
 
 using namespace l0vliw;
 using l0vliw::driver::ArchSpec;
@@ -151,9 +162,60 @@ allStats(mem::MemSystem &mem)
 }
 
 /**
- * Run @p invocations of @p schedule with a shared clock through both
- * executors (one reused plan vs the reference) on fresh memory systems
- * and assert every result field and every stat is identical.
+ * The plan and the reference executor side by side, each on its own
+ * memory system with its own clock, so every invocation sees what the
+ * earlier ones (of any loop) left behind.
+ */
+struct Lockstep
+{
+    explicit Lockstep(const machine::MachineConfig &config)
+        : Lockstep(mem::MemSystem::create(config),
+                   mem::MemSystem::create(config))
+    {
+    }
+
+    Lockstep(std::unique_ptr<mem::MemSystem> ref,
+             std::unique_ptr<mem::MemSystem> planned)
+        : refMem(std::move(ref)), planMem(std::move(planned))
+    {
+    }
+
+    /** One invocation through both; every result field must match. */
+    void
+    invoke(sim::KernelPlan &plan, std::uint64_t trips,
+           const sim::SimOptions &opts)
+    {
+        sim::InvocationResult r = sim::simulateInvocationReference(
+            plan.schedule(), *refMem, trips, refClock, opts);
+        sim::InvocationResult p =
+            plan.run(*planMem, trips, planClock, opts);
+        refClock += r.totalCycles();
+        planClock += p.totalCycles();
+        EXPECT_EQ(p.computeCycles, r.computeCycles) << "inv " << count;
+        EXPECT_EQ(p.stallCycles, r.stallCycles) << "inv " << count;
+        EXPECT_EQ(p.memAccesses, r.memAccesses) << "inv " << count;
+        EXPECT_EQ(p.coherenceViolations, r.coherenceViolations)
+            << "inv " << count;
+        violations += p.coherenceViolations;
+        ++count;
+    }
+
+    void
+    expectSameStats()
+    {
+        EXPECT_EQ(allStats(*planMem), allStats(*refMem));
+    }
+
+    std::unique_ptr<mem::MemSystem> refMem, planMem;
+    Cycle refClock = 0, planClock = 0;
+    std::uint64_t violations = 0; ///< summed over the plan's runs
+    int count = 0;                ///< invocations so far
+};
+
+/**
+ * Run @p invocations of @p schedule through both executors (one reused
+ * plan vs the reference) on fresh memory systems and assert every
+ * result field and every stat is identical.
  */
 void
 expectEquivalent(const sched::Schedule &schedule, const ArchSpec &arch,
@@ -165,27 +227,11 @@ expectEquivalent(const sched::Schedule &schedule, const ArchSpec &arch,
 
     sim::SimOptions opts;
     opts.checkCoherence = check_coherence;
-
-    auto ref_mem = mem::MemSystem::create(arch.config);
-    auto plan_mem = mem::MemSystem::create(arch.config);
     sim::KernelPlan plan(schedule);
-
-    Cycle ref_clock = 0, plan_clock = 0;
-    for (int inv = 0; inv < invocations; ++inv) {
-        sim::InvocationResult r = sim::simulateInvocationReference(
-            schedule, *ref_mem, trips, ref_clock, opts);
-        sim::InvocationResult p =
-            plan.run(*plan_mem, trips, plan_clock, opts);
-        ref_clock += r.totalCycles();
-        plan_clock += p.totalCycles();
-
-        EXPECT_EQ(p.computeCycles, r.computeCycles) << "inv " << inv;
-        EXPECT_EQ(p.stallCycles, r.stallCycles) << "inv " << inv;
-        EXPECT_EQ(p.memAccesses, r.memAccesses) << "inv " << inv;
-        EXPECT_EQ(p.coherenceViolations, r.coherenceViolations)
-            << "inv " << inv;
-    }
-    EXPECT_EQ(allStats(*plan_mem), allStats(*ref_mem));
+    Lockstep run(arch.config);
+    for (int inv = 0; inv < invocations; ++inv)
+        run.invoke(plan, trips, opts);
+    run.expectSameStats();
 }
 
 sched::Schedule
@@ -340,3 +386,247 @@ TEST_P(RandomLoopEquivalence, PlanMatchesReferenceBitForBit)
 
 INSTANTIATE_TEST_SUITE_P(Sweep, RandomLoopEquivalence,
                          ::testing::Range<std::uint64_t>(1, 31));
+
+// ------------------------------------------------------ coherence oracle
+
+namespace
+{
+
+/**
+ * Plan vs reference with the oracle on, over a whole benchmark: every
+ * loop for two invocations, all on one memory system per executor, so
+ * each invocation reads what the ones before it stored.
+ */
+void
+expectBenchmarkEquivalent(const workloads::Benchmark &bench,
+                          const ArchSpec &arch,
+                          const std::vector<int> &unrolls)
+{
+    SCOPED_TRACE(bench.name + " on " + arch.label);
+    // Enough trips for the steady state and L0 capacity effects,
+    // few enough that the whole registry sweep stays quick.
+    constexpr std::uint64_t kMaxTrips = 96;
+
+    auto plans = driver::buildLoopPlans(bench, arch, unrolls);
+    sim::SimOptions opts;
+    Lockstep run(arch.config);
+    for (std::size_t i = 0; i < plans.size(); ++i) {
+        SCOPED_TRACE("loop " + std::to_string(i));
+        const std::uint64_t trips = std::min<std::uint64_t>(
+            bench.loops[i].trips / unrolls[i], kMaxTrips);
+        for (int inv = 0; inv < 2; ++inv)
+            run.invoke(*plans[i], trips, opts);
+    }
+    run.expectSameStats();
+}
+
+/**
+ * A test-only memory system: forwards every access to a real one and
+ * flips one byte of the @p nth load that lands in [lo, hi). Stores are
+ * mirrored into this wrapper's own backing store, which is the one the
+ * oracles read.
+ */
+class CorruptingMemSystem final : public mem::MemSystem
+{
+  public:
+    CorruptingMemSystem(const machine::MachineConfig &config, Addr lo,
+                        Addr hi, std::uint64_t nth)
+        : MemSystem(config), inner(mem::MemSystem::create(config)),
+          lo(lo), hi(hi), nth(nth)
+    {
+    }
+
+    mem::MemAccessResult
+    access(const mem::MemAccess &acc, Cycle now,
+           const std::uint8_t *store_data, std::uint8_t *load_out,
+           mem::AccessScratch &scratch) override
+    {
+        mem::MemAccessResult res =
+            inner->access(acc, now, store_data, load_out, scratch);
+        if (store_data) {
+            std::uint8_t bytes[8];
+            inner->backing().read(acc.addr, bytes, acc.size);
+            back.write(acc.addr, bytes, acc.size);
+        } else if (load_out && acc.addr >= lo && acc.addr < hi
+                   && seen++ == nth) {
+            load_out[0] ^= 0x5a;
+            ++flipped;
+        }
+        return res;
+    }
+
+    void endLoop(Cycle now) override { inner->endLoop(now); }
+
+    int flipped = 0;
+
+  private:
+    std::unique_ptr<mem::MemSystem> inner;
+    Addr lo, hi;
+    std::uint64_t nth;
+    std::uint64_t seen = 0;
+};
+
+} // namespace
+
+TEST(OracleEquivalence, EveryRegisteredArchAndBenchmark)
+{
+    std::vector<workloads::Benchmark> benches =
+        workloads::mediabenchSuite();
+    // fig8's synthetic labels (bench/fig8_synthetic.cpp) and two random
+    // DDGs through the registry grammar.
+    for (const char *label :
+         {"stream-2", "stream-8", "stride-4x2", "stride-32x4",
+          "stencil2d-2", "stencil2d-4", "reduce-4", "reduce-12",
+          "pchase-8", "pchase-256", "rand-s1-12", "rand-s7-16",
+          "rand-s3-24", "rand-s42-40"})
+        benches.push_back(workloads::workloadRegistry().resolve(label));
+    ASSERT_EQ(benches.size(), 27u);
+
+    const std::vector<std::string> &archs =
+        driver::archRegistry().names();
+    ASSERT_FALSE(archs.empty());
+    for (const workloads::Benchmark &bench : benches) {
+        const std::vector<int> unrolls = driver::chooseUnrollFactors(bench);
+        for (const std::string &label : archs)
+            expectBenchmarkEquivalent(
+                bench, driver::archRegistry().resolve(label), unrolls);
+    }
+}
+
+TEST(OracleEquivalence, MiscompiledScheduleFlagsInBothOracles)
+{
+    // No registered architecture miscompiles coherence, so the sweep
+    // above compares zeros. This is test_sim's deliberately incoherent
+    // schedule (a store in cluster 0, a flow-dependent reader serving
+    // a[i-1] from a stale L0 copy in cluster 1) plus a load of an
+    // array nothing stores to: the replayed loads must flag, the live
+    // one must not, and both oracles must agree over two invocations.
+    ir::Loop l("bad");
+    int arr = l.addArray({"arr", 0x10000, 4096});
+    int other = l.addArray({"other", 0x20000, 4096});
+    auto mem_op = [](ir::OpKind kind, int array, long offset) {
+        ir::Operation op;
+        op.kind = kind;
+        op.mem.array = array;
+        op.mem.elemSize = 4;
+        op.mem.strideElems = 1;
+        op.mem.offsetElems = offset;
+        return op;
+    };
+    OpId ld1 = l.addOp(mem_op(ir::OpKind::Load, arr, 0));
+    OpId st = l.addOp(mem_op(ir::OpKind::Store, arr, 0));
+    OpId ld2 = l.addOp(mem_op(ir::OpKind::Load, arr, -1));
+    OpId ld3 = l.addOp(mem_op(ir::OpKind::Load, other, 0));
+    l.addRegEdge(ld1, st);
+    l.addMemEdge(ld1, st, 0);
+    l.addMemEdge(st, ld2, 1);
+    l.addMemEdge(ld2, st, 1);
+
+    sched::Schedule s;
+    s.loop = l;
+    s.ii = 4;
+    s.stageCount = 2;
+    s.ops.resize(4);
+    s.ops[ld1] = {1, 0, 1, true, ir::AccessHint::ParAccess,
+                  ir::MapHint::LinearMap, ir::PrefetchHint::Positive};
+    s.ops[st] = {0, 2, 1, false, ir::AccessHint::NoAccess,
+                 ir::MapHint::LinearMap, ir::PrefetchHint::NoPrefetch};
+    s.ops[ld2] = {1, 5, 1, true, ir::AccessHint::ParAccess,
+                  ir::MapHint::LinearMap, ir::PrefetchHint::NoPrefetch};
+    s.ops[ld3] = {2, 1, 1, true, ir::AccessHint::ParAccess,
+                  ir::MapHint::LinearMap, ir::PrefetchHint::NoPrefetch};
+
+    ArchSpec arch = ArchSpec::l0(8);
+    sim::KernelPlan plan(s);
+    EXPECT_FALSE(plan.liveChecked(ld1));
+    EXPECT_FALSE(plan.liveChecked(ld2));
+    EXPECT_TRUE(plan.liveChecked(ld3));
+
+    sim::SimOptions opts;
+    Lockstep run(arch.config);
+    for (int inv = 0; inv < 2; ++inv)
+        run.invoke(plan, 200, opts);
+    // Stale copies surface in the first invocation; the second stores
+    // the same values again, so its stale reads happen to match.
+    EXPECT_GT(run.violations, 0u);
+    run.expectSameStats();
+}
+
+TEST(OracleEquivalence, LiveCheckedLoadSeesCorruptedBytes)
+{
+    // streamBody's loads read arrays no store writes, so the plan
+    // checks them live. Flip one byte of one such load: the plan and
+    // the reference must each count exactly that one violation.
+    ir::Loop body = streamBody(4);
+    for (const ArchSpec &arch : {ArchSpec::unified(), ArchSpec::l0(8),
+                                 ArchSpec::interleaved2()}) {
+        SCOPED_TRACE(arch.label);
+        sched::Schedule s = scheduleFor(body, arch);
+        sim::KernelPlan plan(s);
+        ASSERT_GT(plan.liveCheckedLoads(), 0);
+
+        OpId target = kNoOp;
+        for (OpId i = 0; i < body.numOps(); ++i)
+            if (body.op(i).kind == ir::OpKind::Load) {
+                ASSERT_TRUE(plan.liveChecked(i));
+                target = i;
+            }
+        const ir::ArrayInfo &arr =
+            body.array(body.op(target).mem.array);
+
+        auto *ref_mem = new CorruptingMemSystem(
+            arch.config, arr.base, arr.base + arr.sizeBytes, 37);
+        auto *plan_mem = new CorruptingMemSystem(
+            arch.config, arr.base, arr.base + arr.sizeBytes, 37);
+        Lockstep run{std::unique_ptr<mem::MemSystem>(ref_mem),
+                     std::unique_ptr<mem::MemSystem>(plan_mem)};
+        sim::SimOptions opts;
+        for (int inv = 0; inv < 2; ++inv)
+            run.invoke(plan, 200, opts);
+        EXPECT_EQ(ref_mem->flipped, 1);
+        EXPECT_EQ(plan_mem->flipped, 1);
+        EXPECT_EQ(run.violations, 1u);
+    }
+}
+
+TEST(OracleEquivalence, SplitCountersAdvanceOncePerInvocation)
+{
+    ir::Loop body = streamBody(2);
+    ArchSpec arch = ArchSpec::l0(8);
+    sim::KernelPlan plan(scheduleFor(body, arch));
+    EXPECT_EQ(plan.replayedLoads() + plan.liveCheckedLoads(),
+              static_cast<int>(std::count_if(
+                  body.ops().begin(), body.ops().end(),
+                  [](const ir::Operation &op) {
+                      return op.kind == ir::OpKind::Load;
+                  })));
+
+    // The first run registers the counters (with their help text).
+    auto mem = mem::MemSystem::create(arch.config);
+    sim::SimOptions opts;
+    plan.run(*mem, 50, 0, opts);
+    metrics::Counter &replayed = metrics::counter(
+        "l0vliw_sim_oracle_loads_replayed_total", "");
+    metrics::Counter &live =
+        metrics::counter("l0vliw_sim_oracle_loads_live_total", "");
+    const std::uint64_t replayed0 = replayed.value();
+    const std::uint64_t live0 = live.value();
+
+    plan.run(*mem, 50, 0, opts);
+    EXPECT_EQ(replayed.value() - replayed0,
+              static_cast<std::uint64_t>(plan.replayedLoads()) * 50);
+    EXPECT_EQ(live.value() - live0,
+              static_cast<std::uint64_t>(plan.liveCheckedLoads()) * 50);
+
+    // Oracle off: nothing checked, nothing counted.
+    opts.checkCoherence = false;
+    plan.run(*mem, 50, 0, opts);
+    EXPECT_EQ(live.value() - live0,
+              static_cast<std::uint64_t>(plan.liveCheckedLoads()) * 50);
+
+    const std::string reply = metrics::metricsQueryReply({"metrics"});
+    EXPECT_NE(reply.find("l0vliw_sim_oracle_loads_replayed_total"),
+              std::string::npos);
+    EXPECT_NE(reply.find("l0vliw_sim_oracle_loads_live_total"),
+              std::string::npos);
+}
